@@ -1,36 +1,38 @@
 // Vectorized batch execution: batch-size sweep on the paper workload.
 //
 // Queries 1-4 forced to the shared hash star join on the base table ABCD
-// (the Figure 10 k=4 configuration), executed tuple-at-a-time (the original
-// fused per-row loops) and then with the vectorized batch engine at several
-// batch sizes, plus one morsel-parallel vectorized point. Reported per
-// point:
+// (the Figure 10 k=4 configuration), executed at several batch sizes from
+// batch_rows = 1 (one row per batch, the per-row baseline) up, plus one
+// morsel-parallel point. Reported per point:
 //   * cpu_ms     — wall time of the whole shared pass,
 //   * page counts / modeled_ms — identical across every configuration by
-//     construction (batching regroups CPU work only), asserted below,
-//   * speedup    — tuple-at-a-time cpu_ms / vectorized cpu_ms.
-// Every vectorized result is asserted BIT-identical to the tuple run: the
-// batch kernels preserve ascending row order per query and AddBatch replays
-// Add element-for-element, so the aggregation fold is the same
-// floating-point sequence.
+//     construction (batching regroups CPU work only), asserted below
+//     against the first (batch_rows = 1) point,
+//   * speedup    — batch_rows = 1 cpu_ms / this point's cpu_ms, recorded
+//     as the speedup_batch_*_vs_1 metrics.
+// Every result is asserted BIT-identical to the single-query hash star
+// join (exec/star_join.h) over the same view: the batch kernels preserve
+// ascending row order per query and AddBatch replays Add
+// element-for-element, so the aggregation fold is the same floating-point
+// sequence as the single-query row loop.
 //
-// The acceptance bar for this engine is >= 2x cpu_ms reduction for the
-// 4-query shared scan on 2M rows in a Release build (recorded as the
-// speedup_batch_* metrics in BENCH_vectorized_scan.json). The assertion is
-// left to the reader/CI of the JSON rather than hard-coded here because
-// Debug builds and tiny STARSHARE_ROWS runs (scripts/verify.sh perf-smoke)
-// legitimately measure smaller, noisier ratios; the bit-identity and
-// page-count checks below are enforced unconditionally at every size.
+// The speedups are recorded, not asserted: Debug builds and tiny
+// STARSHARE_ROWS runs (scripts/verify.sh perf-smoke) legitimately measure
+// smaller, noisier ratios; the bit-identity and page-count checks below
+// are enforced unconditionally at every size.
 
 #include <algorithm>
 #include <ctime>
 #include <cmath>
 #include <cstring>
+#include <map>
+#include <optional>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "common/str_util.h"
 #include "core/paper_workload.h"
+#include "exec/star_join.h"
 
 using namespace starshare;
 using namespace starshare::bench;
@@ -106,55 +108,63 @@ int main() {
                 static_cast<double>(kDefaultBatchRows));
   report.PlanShape(PlanShapeHash(engine, plan));
 
-  // Baseline: the original tuple-at-a-time loops.
-  engine.set_batch_config(BatchConfig::TupleAtATime());
-  std::vector<ExecutedQuery> baseline;
-  const Measurement baseline_m =
-      MeasureBest(engine, 3, [&] { baseline = engine.Execute(plan); });
-  report.Row("tuple-at-a-time", baseline_m);
-  for (const auto& r : baseline) {
-    SS_CHECK_MSG(r.ok(), "%s", r.status.ToString().c_str());
+  // Oracle: each query's single-query hash star join over the class view.
+  std::map<int, QueryResult> oracle;
+  {
+    DiskModel scratch;
+    for (const LocalPlan& member : plan.classes[0].members) {
+      oracle.emplace(member.query->id(),
+                     HashStarJoin(engine.schema(), *member.query,
+                                  *plan.classes[0].base, scratch));
+    }
   }
 
-  const auto check_against_baseline = [&](
-      const std::vector<ExecutedQuery>& run, const Measurement& m,
-      const std::string& label) {
-    for (size_t i = 0; i < baseline.size(); ++i) {
-      SS_CHECK_MSG(run[i].ok(), "%s", run[i].status.ToString().c_str());
-      SS_CHECK_MSG(BitIdentical(run[i].result, baseline[i].result),
-                   "Q%d diverged from tuple-at-a-time (%s)",
-                   run[i].query->id(), label.c_str());
+  // The first sweep point (batch_rows = 1) is the I/O reference and the
+  // speedup baseline.
+  std::optional<Measurement> baseline_m;
+  const auto check = [&](const std::vector<ExecutedQuery>& run,
+                         const Measurement& m, const std::string& label) {
+    SS_CHECK_MSG(run.size() == oracle.size(), "%s returned %zu results",
+                 label.c_str(), run.size());
+    for (const ExecutedQuery& r : run) {
+      SS_CHECK_MSG(r.ok(), "%s", r.status.ToString().c_str());
+      SS_CHECK_MSG(BitIdentical(r.result, oracle.at(r.query->id())),
+                   "Q%d diverged from the single-query star join (%s)",
+                   r.query->id(), label.c_str());
     }
-    SS_CHECK_MSG(m.io == baseline_m.io,
-                 "%s charged different I/O than tuple-at-a-time — the 1998 "
+    if (!baseline_m) baseline_m = m;
+    SS_CHECK_MSG(m.io == baseline_m->io,
+                 "%s charged different I/O than batch_rows = 1 — the 1998 "
                  "modeled time would change",
                  label.c_str());
   };
 
   // Batch-size sweep, serial.
-  for (const size_t batch_rows : {256u, 1024u, 4096u}) {
-    engine.set_batch_config(BatchConfig{true, batch_rows});
-    std::vector<ExecutedQuery> vectorized;
+  for (const size_t batch_rows : {1u, 256u, 1024u, 4096u}) {
+    engine.set_batch_rows(batch_rows);
+    std::vector<ExecutedQuery> run;
     const Measurement m =
-        MeasureBest(engine, 3, [&] { vectorized = engine.Execute(plan); });
-    const std::string label = StrFormat("vectorized, batch %zu", batch_rows);
+        MeasureBest(engine, 3, [&] { run = engine.Execute(plan); });
+    const std::string label = StrFormat("batch %zu", batch_rows);
     report.Row(label, m);
-    check_against_baseline(vectorized, m, label);
-    report.Metric(StrFormat("speedup_batch_%zu", batch_rows),
-                  baseline_m.cpu_ms / m.cpu_ms);
+    check(run, m, label);
+    if (batch_rows > 1) {
+      report.Metric(StrFormat("speedup_batch_%zu_vs_1", batch_rows),
+                    baseline_m->cpu_ms / m.cpu_ms);
+    }
   }
 
-  // One morsel-parallel vectorized point at the default batch size.
+  // One morsel-parallel point at the default batch size.
   engine.set_batch_config(BatchConfig{});
   engine.set_parallelism(4);
   {
     std::vector<ExecutedQuery> parallel;
     const Measurement m =
         MeasureBest(engine, 3, [&] { parallel = engine.Execute(plan); });
-    report.Row("vectorized, batch 1024, 4 threads", m);
-    check_against_baseline(parallel, m, "4-thread vectorized");
-    report.Metric("speedup_batch_1024_4_threads",
-                  baseline_m.cpu_ms / m.cpu_ms);
+    report.Row("batch 1024, 4 threads", m);
+    check(parallel, m, "batch 1024, 4 threads");
+    report.Metric("speedup_batch_1024_4_threads_vs_1",
+                  baseline_m->cpu_ms / m.cpu_ms);
   }
   engine.set_parallelism(1);
 
@@ -265,11 +275,10 @@ int main() {
   }
 
   report.Note(
-      "\nAll vectorized results are bit-identical to tuple-at-a-time, and\n"
-      "all page counts (hence the 1998 modeled I/O time) are equal by\n"
-      "construction; batching regroups CPU work only. The Release-build\n"
-      "target for the default batch size is >= 2x cpu_ms over the\n"
-      "tuple-at-a-time baseline on 2M rows.");
+      "\nEvery result is bit-identical to the single-query hash star join,\n"
+      "and all page counts (hence the 1998 modeled I/O time) equal the\n"
+      "batch_rows = 1 point by construction; batching regroups CPU work\n"
+      "only. Speedups are cpu_ms relative to batch_rows = 1.");
   report.Write();
   return 0;
 }

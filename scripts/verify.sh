@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the plain build + full test suite, the same suite
 # under AddressSanitizer + UBSan (-DSTARSHARE_SANITIZE=ON), a dedicated
-# ASan pass of the spilling-aggregation suite (tiny budgets exercise every
-# spill/merge/cleanup path under the leak checker), the threading suites
+# ASan pass of the spill suites (tiny budgets exercise every
+# spill/merge/cleanup path under the leak checker; the packed run format's
+# word-window merge and CRCs are checked directly), the threading suites
 # under ThreadSanitizer (-DSTARSHARE_SANITIZE=thread), a TSan pass of the
 # query-server suites (cross-session admission races, shutdown with
 # queries in flight), ASan+TSan passes of the CUBE/ROLLUP lattice suite
@@ -10,9 +11,10 @@
 # second full-suite pass with
 # STARSHARE_UNCOMPRESSED=1 (the raw page layout), a perf-smoke
 # pass of the scan benches on a reduced row count (their internal checks
-# fail the stage if vectorized aggregate output differs from
-# tuple-at-a-time/serial, any charged page count changes, or the
-# disabled-trace overhead bound of bench_vectorized_scan is exceeded), a
+# fail the stage if aggregate output differs from the single-query/serial
+# reference, any charged page count changes across batch sizes or thread
+# counts, or the disabled-trace overhead bound of bench_vectorized_scan is
+# exceeded), a
 # clang-tidy pass over src/plan/ + src/exec/ (skipped when clang-tidy is
 # absent), a Release-build optimizer-differential pass (all five
 # optimizers, 200 seeded random workloads, bit-identical results and
@@ -49,15 +51,17 @@ ASAN_OPTIONS=detect_leaks=1 \
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   ctest --test-dir build-sanitize --output-on-failure -j "$JOBS"
 
-echo "==> spill suite under ASan (tiny budgets, scratch hygiene, chaos)"
+echo "==> spill suites under ASan (tiny budgets, scratch hygiene, chaos)"
 # spill_aggregate_test runs budgets down to 1 byte (every batch spills),
 # injects spill.write/spill.read/budget.grant faults, and scans the
 # scratch dir after every run; under ASan's leak checker this proves the
 # spill files and buffers are released on success and failure alike.
+# spill_packed_test drives the one spill run format directly: merge order,
+# key packing up to 64 bits, word-splitting chunk boundaries, bit flips.
 ASAN_OPTIONS=detect_leaks=1 \
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   ctest --test-dir build-sanitize --output-on-failure \
-  -R 'spill_aggregate_test'
+  -R 'spill_aggregate_test|spill_packed_test'
 
 echo "==> TSan build + threading suites"
 cmake -B build-tsan -S . -DSTARSHARE_SANITIZE=thread >/dev/null
@@ -96,8 +100,9 @@ TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
 
 echo "==> perf-smoke: scan benches on reduced rows"
 # Each bench SS_CHECKs bit-identity against its reference execution and
-# exact IoStats equality across configurations — a vectorized result or a
-# page count drifting from tuple-at-a-time aborts the bench and this stage.
+# exact IoStats equality across configurations — a batched result drifting
+# from the single-query star join, or a page count drifting from the
+# batch_rows = 1 run, aborts the bench and this stage.
 # Speedup ratios at this row count are recorded but not asserted (see
 # bench_vectorized_scan.cpp); the Release 2M-row sweep is the perf gate.
 (cd build && STARSHARE_ROWS=120000 ./bench/bench_vectorized_scan >/dev/null)

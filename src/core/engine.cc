@@ -17,6 +17,41 @@
 #include "storage/table_io.h"
 
 namespace starshare {
+namespace {
+
+// Checks that `table` holds base facts of `schema`: one key column per
+// dimension, one measure column per schema measure, and every key inside
+// its dimension's base domain [0, cardinality). Key translation and the
+// star-join filter masks index dense per-member arrays by key, so an
+// out-of-domain key would read past them. `what` names the table in the
+// error message.
+Status ValidateFactTable(const StarSchema& schema, const Table* table,
+                         const char* what) {
+  if (table == nullptr || table->num_key_columns() != schema.num_dims()) {
+    return Status::InvalidArgument(
+        StrFormat("%s must have one key column per dimension", what));
+  }
+  if (table->num_measures() != schema.num_measures()) {
+    return Status::InvalidArgument(
+        StrFormat("%s must carry one column per schema measure", what));
+  }
+  for (size_t d = 0; d < schema.num_dims(); ++d) {
+    const int32_t card = static_cast<int32_t>(schema.dim(d).cardinality(0));
+    const KeyColumn& col = table->key_column(d);
+    bool in_range = true;
+    col.ForEach(0, col.size(), [&](uint64_t, int32_t key) {
+      if (key < 0 || key >= card) in_range = false;
+    });
+    if (!in_range) {
+      return Status::InvalidArgument(
+          StrFormat("%s key out of range on dimension %s", what,
+                    schema.dim(d).dim_name().c_str()));
+    }
+  }
+  return Status::Ok();
+}
+
+}  // namespace
 
 bool DefaultCompressedPages() {
   const char* env = std::getenv("STARSHARE_UNCOMPRESSED");
@@ -69,13 +104,11 @@ Engine::Engine(StarSchema schema, EngineConfig config)
   builder_.set_batch_config(config_.batch);
   set_parallelism(config_.parallelism);
   // Compressed layout: the catalog normalizes every registered table
-  // (generator output, view builds, cube loads, attached fact tables), the
-  // builder packs before charging view-write I/O, and spill runs reuse the
-  // bit-packed key encoding.
+  // (generator output, view builds, cube loads, attached fact tables) and
+  // the builder packs before charging view-write I/O.
   catalog_.set_compressed_default(config_.compressed_pages);
   builder_.set_compressed_pages(config_.compressed_pages);
-  SpillConfig spill{config_.scratch_dir};
-  spill.packed_keys = config_.compressed_pages;
+  const SpillConfig spill{config_.scratch_dir};
   executor_.set_memory_budget(&memory_budget_, spill);
   builder_.set_memory_budget(&memory_budget_, spill);
 }
@@ -88,7 +121,7 @@ void Engine::set_memory_budget_bytes(uint64_t bytes) {
 void Engine::set_batch_config(const BatchConfig& batch) {
   config_.batch = batch;
   builder_.set_batch_config(batch);
-  set_parallelism(parallelism_);  // rebuild the policy with the new style
+  set_parallelism(parallelism_);  // rebuild the policy with the new batch
 }
 
 void Engine::set_parallelism(size_t parallelism) {
@@ -125,10 +158,7 @@ Result<MaterializedView*> Engine::AttachFactTable(
   if (base_view_ != nullptr) {
     return Status::FailedPrecondition("fact table already loaded");
   }
-  if (table->num_key_columns() != schema_.num_dims()) {
-    return Status::InvalidArgument(
-        "fact table must have one key column per dimension");
-  }
+  SS_RETURN_IF_ERROR(ValidateFactTable(schema_, table.get(), "fact table"));
   Result<Table*> registered = catalog_.Register(std::move(table));
   if (!registered.ok()) return registered.status();
   auto view = std::make_unique<MaterializedView>(
@@ -151,26 +181,7 @@ Status Engine::AppendFactTable(std::unique_ptr<Table> delta) {
   if (base_view_ == nullptr) {
     return Status::FailedPrecondition("load the fact table first");
   }
-  if (delta == nullptr || delta->num_key_columns() != schema_.num_dims()) {
-    return Status::InvalidArgument(
-        "delta must have one key column per dimension");
-  }
-  if (delta->num_measures() != schema_.num_measures()) {
-    return Status::InvalidArgument(
-        "delta must carry one column per schema measure");
-  }
-  for (size_t d = 0; d < schema_.num_dims(); ++d) {
-    const int32_t card = static_cast<int32_t>(schema_.dim(d).cardinality(0));
-    const KeyColumn& col = delta->key_column(d);
-    bool in_range = true;
-    col.ForEach(0, col.size(), [&](uint64_t, int32_t key) {
-      if (key < 0 || key >= card) in_range = false;
-    });
-    if (!in_range) {
-      return Status::InvalidArgument("delta key out of range on dimension " +
-                                     schema_.dim(d).dim_name());
-    }
-  }
+  SS_RETURN_IF_ERROR(ValidateFactTable(schema_, delta.get(), "delta"));
   const MaterializedView delta_view(schema_, GroupBySpec::Base(schema_),
                                     delta.get());
 

@@ -71,12 +71,10 @@ struct EngineConfig {
   size_t parallelism = 1;
   // Rows per morsel for parallel passes (0 = automatic, page aligned).
   uint64_t morsel_rows = 0;
-  // CPU execution style for the shared operators and view builds:
-  // vectorized batch-at-a-time by default. BatchConfig::TupleAtATime()
-  // restores the original fused per-tuple loops (the reference
-  // implementation). Either style produces bit-identical results and
-  // charges identical modeled I/O (see DESIGN.md "Vectorized execution
-  // model"); the knob exists for benchmarking and verification.
+  // Rows per batch for the shared operators and view builds. Every batch
+  // size produces bit-identical results and charges identical modeled I/O
+  // (see DESIGN.md "Vectorized execution model"); batch_rows = 1 is the
+  // per-row reference the determinism suites compare against.
   BatchConfig batch;
   // Aggregation memory budget in bytes for query execution and view builds
   // (0 = unbounded, the default). When set, each shared class's budget is
@@ -106,9 +104,9 @@ struct EngineConfig {
   // fewer pages). Packing is lossless: results are bit-identical to the
   // uncompressed layout at any parallelism x batch x memory budget, and
   // the cost model prices the same geometry the scans charge, so EXPLAIN
-  // ANALYZE estimated == actual either way. Spill runs reuse the same
-  // encoding (SpillConfig::packed_keys). false restores the historical
-  // 4k + 8m byte layout exactly. The default is true; setting
+  // ANALYZE estimated == actual either way. Spill runs use the packed
+  // layout on either setting. false restores the historical 4k + 8m byte
+  // layout exactly. The default is true; setting
   // STARSHARE_UNCOMPRESSED=1 in the environment flips the default to
   // false (verify.sh uses this to run the whole tier-1 suite on the raw
   // layout) — explicit assignments always win over the env.
@@ -164,15 +162,10 @@ class Engine {
   void set_parallelism(size_t parallelism);
   size_t parallelism() const { return parallelism_; }
 
-  // Runtime form of EngineConfig::batch: switches the shared operators and
-  // the view builder between vectorized and tuple-at-a-time execution, or
-  // adjusts the batch size. Safe between queries, like set_parallelism.
+  // Runtime form of EngineConfig::batch: adjusts the batch size of the
+  // shared operators and the view builder. Safe between queries, like
+  // set_parallelism.
   void set_batch_config(const BatchConfig& batch);
-  void set_vectorized(bool vectorized) {
-    BatchConfig batch = config_.batch;
-    batch.vectorized = vectorized;
-    set_batch_config(batch);
-  }
   void set_batch_rows(size_t batch_rows) {
     BatchConfig batch = config_.batch;
     batch.batch_rows = batch_rows;

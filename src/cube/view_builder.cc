@@ -119,8 +119,7 @@ class ViewBuilder::MultiAggregator {
 };
 
 // Per-target plumbing for one pass over a source view. Key translation goes
-// through the same dense arrays (exec/dim_translator.h) as query execution,
-// so tuple-at-a-time and batch accumulation produce identical packed keys.
+// through the same dense arrays (exec/dim_translator.h) as query execution.
 struct ViewBuilder::TargetState {
   std::unique_ptr<MultiAggregator> agg;
   DimTranslator translator;
@@ -179,13 +178,6 @@ struct ViewBuilder::TargetState {
       }
       Fold(keys[i], values.data());
     }
-  }
-
-  void Accumulate(uint64_t row) {
-    for (size_t m = 0; m < measure_cols.size(); ++m) {
-      values[m] = (*measure_cols[m])[row];
-    }
-    Fold(translator.PackRow(row), values.data());
   }
 
   // Batch form over the contiguous rows [begin, end), with caller-owned key
@@ -387,11 +379,7 @@ std::unique_ptr<Table> ViewBuilder::Build(const MaterializedView& source,
     DriveScan(source.table(), disk, 0, source.table().num_rows(),
               batch_.EffectiveBatchRows(), scan,
               [&](uint64_t b, uint64_t e) {
-                if (batch_.vectorized) {
-                  state.AccumulateBatch(b, e, keys);
-                } else {
-                  for (uint64_t row = b; row < e; ++row) state.Accumulate(row);
-                }
+                state.AccumulateBatch(b, e, keys);
               });
   }
   state.FinishFolds();
@@ -438,11 +426,7 @@ std::unique_ptr<Table> ViewBuilder::Refresh(const MaterializedView& view,
     DriveScan(src.table(), disk, 0, src.table().num_rows(),
               batch_.EffectiveBatchRows(), scan,
               [&](uint64_t b, uint64_t e) {
-                if (batch_.vectorized) {
-                  state.AccumulateBatch(b, e, keys);
-                } else {
-                  for (uint64_t row = b; row < e; ++row) state.Accumulate(row);
-                }
+                state.AccumulateBatch(b, e, keys);
               });
   };
   scan_into(view, fold, 0);
@@ -476,8 +460,8 @@ std::vector<std::unique_ptr<Table>> ViewBuilder::BuildMany(
   for (TargetState& state : states) GrantBudget(state, states.size());
 
   // One shared scan feeds every target's aggregation. Targets aggregate
-  // independently, so the batch path's target-outer order folds each
-  // aggregator exactly as the row-outer serial loop does.
+  // independently, so the target-outer batch order folds each aggregator
+  // in ascending row order.
   PhysicalPlan phys;
   const LoweredViewBuild lowered =
       LowerViewBuild(phys, source.name(), /*num_scans=*/1);
@@ -491,14 +475,8 @@ std::vector<std::unique_ptr<Table>> ViewBuilder::BuildMany(
       DriveScan(source.table(), disk, 0, source.table().num_rows(),
                 batch_.EffectiveBatchRows(), scan,
                 [&](uint64_t b, uint64_t e) {
-                  if (batch_.vectorized) {
-                    for (TargetState& state : states) {
-                      state.AccumulateBatch(b, e, keys);
-                    }
-                  } else {
-                    for (uint64_t row = b; row < e; ++row) {
-                      for (TargetState& state : states) state.Accumulate(row);
-                    }
+                  for (TargetState& state : states) {
+                    state.AccumulateBatch(b, e, keys);
                   }
                 });
     }
@@ -584,50 +562,28 @@ std::vector<std::unique_ptr<Table>> ViewBuilder::BuildManyParallel(
             ClassBatch batch;
             op.Open();
             while (op.NextBatch(batch)) {
-              if (policy.batch.vectorized) {
-                // Batches arrive adjacent and ascending, so packing each
-                // span onto the tail keeps buffer.keys[t][i] the key of
-                // row morsel.begin + i.
-                const size_t n = static_cast<size_t>(batch.end - batch.begin);
-                for (size_t t = 0; t < states.size(); ++t) {
-                  std::vector<uint64_t>& keys = buffer.keys[t];
-                  const size_t base = keys.size();
-                  keys.resize(base + n);
-                  states[t].translator.PackRange(batch.begin, n,
-                                                 keys.data() + base);
-                }
-                continue;
-              }
-              for (uint64_t row = batch.begin; row < batch.end; ++row) {
-                for (size_t t = 0; t < states.size(); ++t) {
-                  buffer.keys[t].push_back(
-                      states[t].translator.PackRow(row));
-                }
+              // Batches arrive adjacent and ascending, so packing each span
+              // onto the tail keeps buffer.keys[t][i] the key of row
+              // morsel.begin + i.
+              const size_t n = static_cast<size_t>(batch.end - batch.begin);
+              for (size_t t = 0; t < states.size(); ++t) {
+                std::vector<uint64_t>& keys = buffer.keys[t];
+                const size_t base = keys.size();
+                keys.resize(base + n);
+                states[t].translator.PackRange(batch.begin, n,
+                                               keys.data() + base);
               }
             }
             op.Close();
           },
           [&](const Morsel& morsel, const KeyBuffer& buffer) {
             scan.AddBatches(1);
-            if (policy.batch.vectorized) {
-              // Per-target batch fold: targets are independent, and each
-              // target's stream is row-ascending, so this replays
-              // BuildMany's per-cell accumulation order exactly.
-              for (size_t t = 0; t < states.size(); ++t) {
-                states[t].FoldBatch(buffer.keys[t].data(),
-                                    buffer.keys[t].size(), morsel.begin);
-              }
-              return;
-            }
-            std::vector<double> values(table.num_measures());
-            for (uint64_t i = 0; i < morsel.num_rows(); ++i) {
-              const uint64_t row = morsel.begin + i;
-              for (size_t m = 0; m < values.size(); ++m) {
-                values[m] = table.measure_column(m)[row];
-              }
-              for (size_t t = 0; t < states.size(); ++t) {
-                states[t].Fold(buffer.keys[t][i], values.data());
-              }
+            // Per-target batch fold: targets are independent, and each
+            // target's stream is row-ascending, so this replays BuildMany's
+            // per-cell accumulation order exactly.
+            for (size_t t = 0; t < states.size(); ++t) {
+              states[t].FoldBatch(buffer.keys[t].data(),
+                                  buffer.keys[t].size(), morsel.begin);
             }
           });
       ctx.MergeIntoParent();

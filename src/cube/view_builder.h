@@ -35,11 +35,10 @@ class ViewBuilder {
  public:
   explicit ViewBuilder(const StarSchema& schema) : schema_(schema) {}
 
-  // CPU execution style for the serial build/refresh scans (vectorized
-  // batches by default; BatchConfig::TupleAtATime() restores the fused
-  // per-row loops). BuildManyParallel workers follow policy.batch instead,
-  // so one ParallelPolicy fully describes a parallel pass. Either style
-  // emits bit-identical tables and charges identical I/O.
+  // Rows per batch for the serial build/refresh scans. BuildManyParallel
+  // workers follow policy.batch instead, so one ParallelPolicy fully
+  // describes a parallel pass. Every batch size emits bit-identical tables
+  // and charges identical I/O.
   void set_batch_config(const BatchConfig& batch) { batch_ = batch; }
   const BatchConfig& batch_config() const { return batch_; }
 

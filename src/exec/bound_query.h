@@ -2,9 +2,9 @@
 // Precomputes the dense translation arrays (exec/dim_translator.h) mapping
 // the view's stored member ids to pre-shifted packed-key bits at the query's
 // target levels — the "dimension hash table" of the paper's plans realized
-// as perfect-hash arrays — plus the aggregation hash table. Every star-join
-// operator — single or shared, tuple-at-a-time or vectorized — funnels
-// matching tuples through Accumulate() / AccumulateBatch().
+// as perfect-hash arrays — plus the aggregation hash table. The single-query
+// star joins fold matching rows through Accumulate(); the shared operators
+// pack keys in batches and fold through AccumulateRawBatch().
 
 #ifndef STARSHARE_EXEC_BOUND_QUERY_H_
 #define STARSHARE_EXEC_BOUND_QUERY_H_
@@ -48,16 +48,14 @@ class BoundQuery {
   // Adds view row `row` (already known to pass the query's selection) to
   // the aggregation, reading the query's own measure column.
   void Accumulate(uint64_t row) {
-    agg_.Add(translator_.PackRow(row), MeasureAt(row));
+    agg_.Add(translator_.PackRow(row), (*measures_)[row]);
   }
 
-  // The split form of Accumulate used by morsel-parallel workers: the
-  // read-only half (translate the row's keys and pack them) runs
-  // concurrently; the mutating half (AccumulateRaw / AccumulateRawBatch)
-  // runs only on the merging thread, in serial row order, so the
-  // aggregation folds bit-identically to the serial operator.
-  uint64_t PackedKeyAt(uint64_t row) const { return translator_.PackRow(row); }
-  double MeasureAt(uint64_t row) const { return (*measures_)[row]; }
+  // The split form of Accumulate used by the shared operators: the
+  // read-only half (translator() packs keys, measure_data() gathers values)
+  // may run on morsel-parallel workers; the mutating half (AccumulateRaw /
+  // AccumulateRawBatch) runs only on the merging thread, in serial row
+  // order, so the aggregation folds bit-identically to Accumulate().
   void AccumulateRaw(uint64_t packed_key, double value) {
     agg_.Add(packed_key, value);
   }
@@ -66,8 +64,8 @@ class BoundQuery {
     agg_.AddBatch(keys, values, n);
   }
 
-  // Vectorized accessors: the translation arrays and the raw measure
-  // column, for batch kernels that pack keys and gather values themselves.
+  // Batch accessors: the translation arrays and the raw measure column, for
+  // kernels that pack keys and gather values themselves.
   const DimTranslator& translator() const { return translator_; }
   const double* measure_data() const { return measures_->data(); }
 

@@ -1,5 +1,7 @@
 #include "exec/operators/bitmap_filter.h"
 
+#include "exec/vector_batch.h"
+
 namespace starshare {
 namespace {
 
@@ -46,23 +48,15 @@ void ForEachIndexMemberBatch(const Bitmap& bitmap, uint64_t row_begin,
 bool BitmapFilterOp::NextBatch(ClassBatch& batch) {
   if (!child_->NextBatch(batch)) return false;
   const bool probe = batch.positions != nullptr;
-  if (batch_.vectorized) {
-    if (probe) {
-      ProcessProbeVectorized(batch);
-    } else {
-      ProcessScanVectorized(batch);
-    }
+  if (probe) {
+    ProcessProbe(batch);
   } else {
-    if (probe) {
-      ProcessProbeTuple(batch);
-    } else {
-      ProcessScanTuple(batch);
-    }
+    ProcessScan(batch);
   }
   return true;
 }
 
-void BitmapFilterOp::ProcessScanVectorized(const ClassBatch& batch) {
+void BitmapFilterOp::ProcessScan(const ClassBatch& batch) {
   for (size_t k = 0; k < bitmaps_.size(); ++k) {
     sel_.clear();
     bitmaps_[k].ForEachSetBitInRange(
@@ -80,38 +74,15 @@ void BitmapFilterOp::ProcessScanVectorized(const ClassBatch& batch) {
   }
 }
 
-void BitmapFilterOp::ProcessScanTuple(const ClassBatch& batch) {
-  for (uint64_t row = batch.begin; row < batch.end; ++row) {
-    for (size_t k = 0; k < bitmaps_.size(); ++k) {
-      if (!bitmaps_[k].Test(row) || !residuals_[k].Matches(row)) continue;
-      const BoundQuery& bound = bound_[slot_base_ + k];
-      (*batch.matches)[slot_base_ + k].Push(bound.PackedKeyAt(row),
-                                            bound.MeasureAt(row));
-    }
-  }
-}
-
-void BitmapFilterOp::ProcessProbeVectorized(const ClassBatch& batch) {
+void BitmapFilterOp::ProcessProbe(const ClassBatch& batch) {
   for (size_t k = 0; k < bitmaps_.size(); ++k) {
     QueryMatchBatch& out = (*batch.matches)[slot_base_ + k];
     ForEachIndexMemberBatch(
         bitmaps_[k], batch.begin, batch.end, residuals_[k],
-        bound_[slot_base_ + k], batch_.EffectiveBatchRows(),
+        bound_[slot_base_ + k], batch_rows_,
         [&out](const uint64_t* keys, const double* values, size_t n) {
           out.Append(keys, values, n);
         });
-  }
-}
-
-void BitmapFilterOp::ProcessProbeTuple(const ClassBatch& batch) {
-  for (size_t i = 0; i < batch.num_positions; ++i) {
-    const uint64_t row = batch.positions[i];
-    for (size_t k = 0; k < bitmaps_.size(); ++k) {
-      if (!bitmaps_[k].Test(row) || !residuals_[k].Matches(row)) continue;
-      const BoundQuery& bound = bound_[slot_base_ + k];
-      (*batch.matches)[slot_base_ + k].Push(bound.PackedKeyAt(row),
-                                            bound.MeasureAt(row));
-    }
   }
 }
 

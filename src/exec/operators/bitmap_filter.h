@@ -3,8 +3,8 @@
 // predicates and emits those members' matches (slots [slot_base,
 // slot_base + bitmaps.size())). Stacked over a ScanSourceOp chain it is the
 // hybrid §3.3 index side; over a ProbeSourceOp it routes the shared §3.2
-// probe stream per member. Streams are ascending-row per member in both
-// modes, identical to the pre-DAG operators bit for bit.
+// probe stream per member. Streams are ascending-row per member on both
+// paths, identical to the pre-DAG operators bit for bit.
 
 #ifndef STARSHARE_EXEC_OPERATORS_BITMAP_FILTER_H_
 #define STARSHARE_EXEC_OPERATORS_BITMAP_FILTER_H_
@@ -13,7 +13,6 @@
 
 #include "exec/operators/operator.h"
 #include "exec/star_join.h"
-#include "exec/vector_batch.h"
 #include "index/bitmap.h"
 
 namespace starshare {
@@ -23,30 +22,29 @@ class BitmapFilterOp : public BatchOperator {
   BitmapFilterOp(BatchOperator* child, const std::vector<Bitmap>& bitmaps,
                  const std::vector<ResidualFilter>& residuals,
                  const std::vector<BoundQuery>& bound, size_t slot_base,
-                 const BatchConfig& batch)
+                 size_t batch_rows)
       : child_(child),
         bitmaps_(bitmaps),
         residuals_(residuals),
         bound_(bound),
         slot_base_(slot_base),
-        batch_(batch) {}
+        batch_rows_(batch_rows) {}
 
   bool NextBatch(ClassBatch& batch) override;
 
  private:
   // Scan mode (§3.3): slice each member's bitmap over the batch's row span.
-  void ProcessScanVectorized(const ClassBatch& batch);
-  void ProcessScanTuple(const ClassBatch& batch);
-  // Probe mode (§3.2): test each probed position against each member.
-  void ProcessProbeVectorized(const ClassBatch& batch);
-  void ProcessProbeTuple(const ClassBatch& batch);
+  void ProcessScan(const ClassBatch& batch);
+  // Probe mode (§3.2): emit each member's own candidates within the probed
+  // span, batch_rows_ at a time.
+  void ProcessProbe(const ClassBatch& batch);
 
   BatchOperator* child_;
   const std::vector<Bitmap>& bitmaps_;
   const std::vector<ResidualFilter>& residuals_;
   const std::vector<BoundQuery>& bound_;
   size_t slot_base_;
-  BatchConfig batch_;
+  size_t batch_rows_;
 
   std::vector<uint64_t> sel_;  // selection vector (absolute row ids)
 };

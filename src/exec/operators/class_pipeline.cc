@@ -233,7 +233,6 @@ Result<SharedOutcome> ExecuteSharedClass(const SharedClassRequest& req) {
   }
 
   const Table& table = view.table();
-  const bool vectorized = req.policy.batch.vectorized;
   const size_t batch_rows = req.policy.batch.EffectiveBatchRows();
 
   // Shared dimension filters (scan path). Built inside the StarJoinFilter
@@ -259,14 +258,13 @@ Result<SharedOutcome> ExecuteSharedClass(const SharedClassRequest& req) {
                       : static_cast<BatchOperator*>(&scan_src);
     std::optional<StarJoinFilterOp> sjf_op;
     if (!req.probe) {
-      sjf_op.emplace(chain, d, filters, all_mask, bound, n_live_hash,
-                     vectorized);
+      sjf_op.emplace(chain, d, filters, all_mask, bound, n_live_hash);
       chain = &*sjf_op;
     }
     std::optional<BitmapFilterOp> bmf_op;
     if (!index_bitmaps.empty()) {
       bmf_op.emplace(chain, index_bitmaps, index_residuals, bound,
-                     n_live_hash, req.policy.batch);
+                     n_live_hash, batch_rows);
       chain = &*bmf_op;
     }
     ClassBatch batch;

@@ -9,17 +9,11 @@ bool StarJoinFilterOp::NextBatch(ClassBatch& batch) {
   // One dimension-table hash probe per scanned row per shared filter,
   // whether or not the row survives (the paper's CPU cost model).
   disk_.CountHashProbes((batch.end - batch.begin) * filters_.size());
-  if (n_hash_ > 0) {
-    if (vectorized_) {
-      ProcessVectorized(batch);
-    } else {
-      ProcessTuple(batch);
-    }
-  }
+  if (n_hash_ > 0) Process(batch);
   return true;
 }
 
-void StarJoinFilterOp::ProcessVectorized(const ClassBatch& batch) {
+void StarJoinFilterOp::Process(const ClassBatch& batch) {
   const size_t n = static_cast<size_t>(batch.end - batch.begin);
   masks_.resize(n);
   if (filters_.empty()) {
@@ -54,22 +48,6 @@ void StarJoinFilterOp::ProcessVectorized(const ClassBatch& batch) {
       if ((masks_[i] & bit) != 0) sel_.push_back(batch.begin + i);
     }
     EmitRows(bound_[qi], sel_.data(), sel_.size(), (*batch.matches)[qi]);
-  }
-}
-
-void StarJoinFilterOp::ProcessTuple(const ClassBatch& batch) {
-  for (uint64_t row = batch.begin; row < batch.end; ++row) {
-    uint32_t mask = all_mask_;
-    for (const internal::SharedDimFilter& filter : filters_) {
-      mask &= filter.masks[static_cast<uint32_t>(filter.col->Get(row))];
-      if (mask == 0) break;
-    }
-    while (mask != 0) {
-      const unsigned qi = static_cast<unsigned>(__builtin_ctz(mask));
-      (*batch.matches)[qi].Push(bound_[qi].PackedKeyAt(row),
-                                bound_[qi].MeasureAt(row));
-      mask &= mask - 1;
-    }
   }
 }
 

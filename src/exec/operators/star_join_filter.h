@@ -1,8 +1,7 @@
 // Star-join filter (physical node kind kStarJoinFilter): evaluates the
 // shared dimension pass masks (§3.1, Fig. 2) over each pulled scan batch
-// and emits every hash member's matches. Vectorized mode works
-// column-at-a-time into per-row masks then per-member selection vectors;
-// tuple mode fuses the per-row mask loop. Both emit identical streams.
+// and emits every hash member's matches. It works column-at-a-time into
+// per-row masks, then into per-member selection vectors.
 
 #ifndef STARSHARE_EXEC_OPERATORS_STAR_JOIN_FILTER_H_
 #define STARSHARE_EXEC_OPERATORS_STAR_JOIN_FILTER_H_
@@ -23,20 +22,18 @@ class StarJoinFilterOp : public BatchOperator {
   StarJoinFilterOp(BatchOperator* child, DiskModel& disk,
                    const std::vector<internal::SharedDimFilter>& filters,
                    uint32_t all_mask, const std::vector<BoundQuery>& bound,
-                   size_t n_hash, bool vectorized)
+                   size_t n_hash)
       : child_(child),
         disk_(disk),
         filters_(filters),
         all_mask_(all_mask),
         bound_(bound),
-        n_hash_(n_hash),
-        vectorized_(vectorized) {}
+        n_hash_(n_hash) {}
 
   bool NextBatch(ClassBatch& batch) override;
 
  private:
-  void ProcessVectorized(const ClassBatch& batch);
-  void ProcessTuple(const ClassBatch& batch);
+  void Process(const ClassBatch& batch);
 
   BatchOperator* child_;
   DiskModel& disk_;
@@ -44,7 +41,6 @@ class StarJoinFilterOp : public BatchOperator {
   uint32_t all_mask_;
   const std::vector<BoundQuery>& bound_;
   size_t n_hash_;
-  bool vectorized_;
 
   std::vector<uint32_t> masks_;  // per-row pass masks of the current batch
   std::vector<uint64_t> sel_;    // selection vector (absolute row ids)

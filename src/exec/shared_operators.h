@@ -34,11 +34,10 @@ struct SharedOutcome {
   std::vector<Status> statuses;
 };
 
-// All operators take a BatchConfig selecting the CPU execution style: the
-// default is the vectorized batch engine; `BatchConfig::TupleAtATime()`
-// runs the original fused per-tuple loops. Both styles produce bit-identical
-// results and charge exactly the same IoStats (batching regroups CPU work
-// only; see DESIGN.md "Vectorized execution model").
+// All operators take a BatchConfig giving the rows per CPU batch. Every
+// batch size produces bit-identical results and charges exactly the same
+// IoStats (batching regroups CPU work only; see DESIGN.md "Vectorized
+// execution model").
 
 // Shared scan hash-based star join (§3.1, Fig. 2): one scan of `view`, one
 // pass-mask table per restricted dimension shared by all queries, one

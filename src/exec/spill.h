@@ -13,20 +13,18 @@
 // precisely arrival order — making the merged fold bit-identical to the
 // in-memory fold at any thread count, batch size and budget.
 //
-// On-disk formats (raw little-endian sections, each closed by a CRC32, the
-// format-v3/v4 conventions from storage/table_io.h):
+// On-disk format (raw little-endian sections, each closed by a CRC32, the
+// format-v3/v4 conventions from storage/table_io.h), on either page layout:
 //
-//   interleaved (packed_keys = false, the legacy layout):
-//     run := rows u64 | rows x (key u64, m x double) | CRC32 u32
+//   run := rows u64 | bits u32 | ref u64
+//          | ceil(rows*bits/64) x u64 key words | key CRC32 u32
+//          | rows x (m x double) | value CRC32 u32
 //
-//   packed (packed_keys = true, the default under compressed pages):
-//     run := rows u64 | bits u32 | ref u64
-//            | ceil(rows*bits/64) x u64 key words | key CRC32 u32
-//            | rows x (m x double) | value CRC32 u32
-//     Keys in a run are sorted ascending, so ref is the first key and
-//     bits = ceil(log2(last - first + 1)) — the same frame-of-reference
-//     bit-packing as storage/packed_column.h, applied to u64 group keys.
-//     Spill bytes shrink with the key-domain width exactly like pages do.
+// Keys in a run are sorted ascending, so ref is the first key and
+// bits = ceil(log2(last - first + 1)) — the same frame-of-reference
+// bit-packing as storage/packed_column.h, applied to u64 group keys. Spill
+// bytes shrink with the key-domain width exactly like pages do. Spill files
+// never outlive the process that wrote them, so there is one format only.
 //
 // Runs are appended back-to-back in one file per consumer, created lazily
 // under the scratch directory with a unique per-query name and removed by
@@ -56,12 +54,9 @@
 namespace starshare {
 
 // Where spill files live (empty scratch_dir resolves to DefaultScratchDir()
-// at SpillFile construction) and which run layout to write.
+// at SpillFile construction).
 struct SpillConfig {
   std::string scratch_dir;
-  // Bit-pack run keys (EngineConfig::compressed_pages sets this). Either
-  // layout merges bit-identically; this only changes scratch-file bytes.
-  bool packed_keys = false;
 };
 
 // $TMPDIR when set, else /tmp.
@@ -97,43 +92,29 @@ class SpillFile {
   uint64_t spilled_bytes() const { return spilled_bytes_; }
   bool empty() const { return runs_.empty(); }
   size_t doubles_per_record() const { return doubles_; }
-  bool packed_keys() const { return packed_; }
   const std::string& path() const { return path_; }
 
  private:
   struct RunInfo {
     uint64_t payload_offset = 0;  // first payload byte (after run header)
     uint64_t rows = 0;
-    // Packed layout only: per-run key geometry (also persisted in the run
-    // header for file self-containedness).
+    // Per-run key geometry (also persisted in the run header for file
+    // self-containedness).
     uint32_t key_bits = 0;
     uint64_t key_ref = 0;
   };
 
-  // Interleaved record size (legacy layout).
-  size_t record_size() const { return 8 + 8 * doubles_; }
-  // Bytes of one record's values section (packed layout).
+  // Bytes of one record's values section.
   size_t value_size() const { return 8 * doubles_; }
   // Packed key words of a whole run.
   static uint64_t KeyWords(uint64_t rows, uint32_t bits) {
     return (rows * bits + 63) / 64;
   }
 
-  Status AppendRunInterleaved(const uint64_t* keys, const double* values,
-                              uint64_t rows);
-  Status AppendRunPacked(const uint64_t* keys, const double* values,
-                         uint64_t rows);
-  Status MergeInterleaved(
-      uint64_t chunk_budget_bytes,
-      const std::function<void(uint64_t, const double*)>& emit);
-  Status MergePacked(
-      uint64_t chunk_budget_bytes,
-      const std::function<void(uint64_t, const double*)>& emit);
   Status OpenAndSeek(uint64_t offset, const char* what);
 
   int query_id_;
   size_t doubles_;
-  bool packed_;
   std::string path_;
   FILE* file_ = nullptr;
   uint64_t end_offset_ = 0;  // where the next run starts

@@ -117,14 +117,12 @@ void ContinuousScanRun::DriveSegment(const DoneFn& on_done) {
   const CircularScanCursor::Segment seg = cursor_.Next();
   const Table& table = view_.table();
   const size_t n = members_.size();
-  const bool vectorized = policy_.batch.vectorized;
 
   if (!policy_.engaged()) {
     // Serial drive: the run's one resumable scan source, repositioned on
     // this segment, under a fresh filter over the current membership.
     scan_.Reset(seg.begin, seg.end);
-    StarJoinFilterOp filter(&scan_, disk_, filters_, all_mask_, bound_, n,
-                            vectorized);
+    StarJoinFilterOp filter(&scan_, disk_, filters_, all_mask_, bound_, n);
     std::vector<QueryMatchBatch> matches(n);
     ClassBatch batch;
     batch.matches = &matches;
@@ -156,7 +154,7 @@ void ContinuousScanRun::DriveSegment(const DoneFn& on_done) {
           ScanSourceOp scan_src(table, wdisk, seg.begin + morsel.begin,
                                 seg.begin + morsel.end, batch_rows);
           StarJoinFilterOp filter(&scan_src, wdisk, filters_, all_mask_,
-                                  bound_, n, vectorized);
+                                  bound_, n);
           std::vector<QueryMatchBatch> matches(n);
           ClassBatch batch;
           batch.matches = &matches;

@@ -135,7 +135,7 @@ TEST(CompressedIdentityTest, FullMatrixBitIdenticalToUncompressed) {
             " batch=" + std::to_string(batch_rows) +
             " budget=" + std::to_string(budget);
         packed.engine->set_parallelism(threads);
-        packed.engine->set_batch_config(BatchConfig{true, batch_rows});
+        packed.engine->set_batch_config(BatchConfig{batch_rows});
         packed.engine->set_memory_budget_bytes(budget);
 
         IoStats io;

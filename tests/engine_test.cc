@@ -49,6 +49,51 @@ TEST_F(EngineTest, AttachValidatesColumnCount) {
             StatusCode::kInvalidArgument);
 }
 
+// One fact row of SmallSchema (base cardinality 12 on X, Y and Z) per
+// entry of `keys`, each carrying `measures` copies of 1.0.
+std::unique_ptr<Table> SmallFacts(
+    const std::vector<std::vector<int32_t>>& keys, size_t measures = 1) {
+  std::vector<std::string> measure_names = {"amount"};
+  for (size_t m = 1; m < measures; ++m) {
+    measure_names.push_back("extra" + std::to_string(m));
+  }
+  auto table = std::make_unique<Table>(
+      "facts", std::vector<std::string>{"X", "Y", "Z"}, measure_names);
+  const std::vector<double> values(measures, 1.0);
+  for (const std::vector<int32_t>& row : keys) {
+    table->AppendRowM(row.data(), values.data());
+  }
+  return table;
+}
+
+TEST_F(EngineTest, AttachRejectsNegativeKey) {
+  Engine other(SmallSchema());
+  EXPECT_EQ(
+      other.AttachFactTable(SmallFacts({{0, 0, 0}, {3, -1, 2}})).status().code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(other.base_view(), nullptr);
+}
+
+TEST_F(EngineTest, AttachRejectsKeyEqualToCardinality) {
+  Engine other(SmallSchema());
+  ASSERT_EQ(other.schema().dim(2).cardinality(0), 12u);
+  EXPECT_EQ(
+      other.AttachFactTable(SmallFacts({{0, 0, 12}})).status().code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(other.base_view(), nullptr);
+  // The largest in-domain key is accepted.
+  EXPECT_TRUE(other.AttachFactTable(SmallFacts({{11, 11, 11}})).ok());
+}
+
+TEST_F(EngineTest, AttachRejectsMeasureCountMismatch) {
+  Engine other(SmallSchema());
+  EXPECT_EQ(other.AttachFactTable(SmallFacts({{1, 2, 3}}, /*measures=*/2))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(other.base_view(), nullptr);
+}
+
 TEST_F(EngineTest, MaterializeViewParsesAndBuilds) {
   auto view = engine_->MaterializeView("X'Y''");
   ASSERT_TRUE(view.ok()) << view.status().ToString();

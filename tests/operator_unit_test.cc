@@ -172,7 +172,7 @@ TEST_F(OperatorUnitTest, StarJoinFilterStreamsAreBatchSizeInvariant) {
       internal::BuildSharedFilters(schema_, members, *view_);
   const uint32_t all_mask = internal::AllQueriesMask(members.size());
 
-  const auto run = [&](uint64_t batch_rows, bool vectorized,
+  const auto run = [&](uint64_t batch_rows,
                        std::vector<QueryMatchBatch>& out) {
     std::vector<BoundQuery> bound;
     bound.emplace_back(schema_, q1, *view_);
@@ -180,25 +180,20 @@ TEST_F(OperatorUnitTest, StarJoinFilterStreamsAreBatchSizeInvariant) {
     DiskModel disk;
     ScanSourceOp scan(*table_, disk, 0, table_->num_rows(), batch_rows);
     StarJoinFilterOp filter(&scan, disk, filters, all_mask, bound,
-                            /*n_hash=*/2, vectorized);
+                            /*n_hash=*/2);
     Drain(filter, 2, out);
     return disk.stats();
   };
 
   std::vector<QueryMatchBatch> reference;
-  const IoStats reference_stats = run(1024, true, reference);
+  const IoStats reference_stats = run(1024, reference);
   EXPECT_GT(reference[0].size() + reference[1].size(), 0u);
   for (const uint64_t batch_rows : {uint64_t{1}, uint64_t{13}}) {
-    for (const bool vectorized : {true, false}) {
-      std::vector<QueryMatchBatch> out;
-      const IoStats stats = run(batch_rows, vectorized, out);
-      EXPECT_TRUE(SameStream(out[0], reference[0]))
-          << "batch=" << batch_rows << " vec=" << vectorized;
-      EXPECT_TRUE(SameStream(out[1], reference[1]))
-          << "batch=" << batch_rows << " vec=" << vectorized;
-      EXPECT_EQ(stats, reference_stats)
-          << "batch=" << batch_rows << " vec=" << vectorized;
-    }
+    std::vector<QueryMatchBatch> out;
+    const IoStats stats = run(batch_rows, out);
+    EXPECT_TRUE(SameStream(out[0], reference[0])) << "batch=" << batch_rows;
+    EXPECT_TRUE(SameStream(out[1], reference[1])) << "batch=" << batch_rows;
+    EXPECT_EQ(stats, reference_stats) << "batch=" << batch_rows;
   }
 }
 
@@ -211,7 +206,7 @@ TEST_F(OperatorUnitTest, StarJoinFilterEmptyInputEmitsNoMatches) {
   bound.emplace_back(schema_, q1, *view_);
   DiskModel disk;
   ScanSourceOp scan(*table_, disk, 0, 0, 1024);
-  StarJoinFilterOp filter(&scan, disk, filters, 1u, bound, 1, true);
+  StarJoinFilterOp filter(&scan, disk, filters, 1u, bound, 1);
   std::vector<QueryMatchBatch> out;
   Drain(filter, 1, out);
   EXPECT_EQ(out[0].size(), 0u);
@@ -242,7 +237,7 @@ TEST_F(OperatorUnitTest, BitmapFilterScanAndProbeModesAgree) {
     ScanSourceOp scan(*table_, disk, 0, table_->num_rows(),
                       cfg.EffectiveBatchRows());
     BitmapFilterOp filter(&scan, bitmaps, residuals, bound, /*slot_base=*/0,
-                          cfg);
+                          cfg.EffectiveBatchRows());
     Drain(filter, 1, out);
   };
   // §3.2 probe mode: route the probed positions through the member.
@@ -253,23 +248,22 @@ TEST_F(OperatorUnitTest, BitmapFilterScanAndProbeModesAgree) {
     DiskModel disk;
     ProbeSourceOp probe(*table_, disk, positions.data(), positions.size());
     BitmapFilterOp filter(&probe, bitmaps, residuals, bound, /*slot_base=*/0,
-                          cfg);
+                          cfg.EffectiveBatchRows());
     Drain(filter, 1, out);
   };
 
   std::vector<QueryMatchBatch> reference;
-  run_scan(BatchConfig{true, 1024}, reference);
+  run_scan(BatchConfig{1024}, reference);
   ASSERT_GT(reference[0].size(), 0u);
-  for (const BatchConfig cfg :
-       {BatchConfig{true, 1}, BatchConfig{false, 0}, BatchConfig{true, 9}}) {
+  for (const BatchConfig cfg : {BatchConfig{1}, BatchConfig{9}}) {
     std::vector<QueryMatchBatch> scan_out;
     run_scan(cfg, scan_out);
     EXPECT_TRUE(SameStream(scan_out[0], reference[0]))
-        << "scan vec=" << cfg.vectorized << " batch=" << cfg.batch_rows;
+        << "scan batch=" << cfg.batch_rows;
     std::vector<QueryMatchBatch> probe_out;
     run_probe(cfg, probe_out);
     EXPECT_TRUE(SameStream(probe_out[0], reference[0]))
-        << "probe vec=" << cfg.vectorized << " batch=" << cfg.batch_rows;
+        << "probe batch=" << cfg.batch_rows;
   }
 }
 
@@ -284,7 +278,8 @@ TEST_F(OperatorUnitTest, BitmapFilterOverEmptyProbeEmitsNothing) {
   bound.emplace_back(schema_, q, *view_);
   DiskModel disk;
   ProbeSourceOp probe(*table_, disk, nullptr, 0);
-  BitmapFilterOp filter(&probe, bitmaps, residuals, bound, 0, BatchConfig());
+  BitmapFilterOp filter(&probe, bitmaps, residuals, bound, 0,
+                        kDefaultBatchRows);
   std::vector<QueryMatchBatch> out;
   Drain(filter, 1, out);
   EXPECT_EQ(out[0].size(), 0u);
@@ -304,7 +299,7 @@ TEST_F(OperatorUnitTest, AggregateSinkFoldIsChunkingInvariant) {
     bound.emplace_back(schema_, q, *view_);
     DiskModel disk;
     ScanSourceOp scan(*table_, disk, 0, table_->num_rows(), 1024);
-    StarJoinFilterOp filter(&scan, disk, filters, 1u, bound, 1, true);
+    StarJoinFilterOp filter(&scan, disk, filters, 1u, bound, 1);
     Drain(filter, 1, stream);
   }
   ASSERT_GT(stream[0].size(), 2u);

@@ -1,7 +1,6 @@
 // The physical-plan DAG's hard invariant: every execution path is one
 // lowered operator chain pulled by a driver, and the driver's knobs —
-// thread count, batch size, vectorized vs tuple-at-a-time — never change
-// the bits. Results must be BYTE-identical and charged IoStats EXACTLY
+// thread count and batch size — never change the bits. Results must be BYTE-identical and charged IoStats EXACTLY
 // equal across {1, 4} threads x {1, 1024} batch rows for all three shared
 // operators, the unshared single-query baseline, and view builds; and the
 // tree that executed must hash to the same shape as the planning-time
@@ -33,20 +32,17 @@ using testing::SmallSchema;
 struct DriverConfig {
   size_t threads;
   size_t batch_rows;
-  bool vectorized;
 };
 
-// The acceptance matrix, plus the tuple-at-a-time reference style.
+// The acceptance matrix.
 std::vector<DriverConfig> Matrix() {
-  return {{1, 1, true},  {1, 1024, true},  {4, 1, true},
-          {4, 1024, true}, {1, 0, false},  {4, 0, false}};
+  return {{1, 1}, {1, 1024}, {4, 1}, {4, 1024}};
 }
 
 const char* Label(const DriverConfig& c) {
   static thread_local std::string label;
   label = "threads=" + std::to_string(c.threads) +
-          " batch=" + std::to_string(c.batch_rows) +
-          (c.vectorized ? " vec" : " tuple");
+          " batch=" + std::to_string(c.batch_rows);
   return label.c_str();
 }
 
@@ -119,7 +115,7 @@ class PhysicalPlanDeterminismTest : public ::testing::Test {
                     bool probe, const DriverConfig& config) {
     std::unique_ptr<ThreadPool> pool;
     ParallelPolicy policy;
-    policy.batch = BatchConfig{config.vectorized, config.batch_rows};
+    policy.batch = BatchConfig{config.batch_rows};
     if (config.threads > 1) {
       pool = std::make_unique<ThreadPool>(config.threads);
       policy.pool = pool.get();
@@ -147,7 +143,7 @@ class PhysicalPlanDeterminismTest : public ::testing::Test {
   void ExpectClassInvariant(const std::vector<const DimensionalQuery*>& hash,
                             const std::vector<const DimensionalQuery*>& index,
                             bool probe, const char* label) {
-    const ClassRun reference = RunClass(hash, index, probe, {1, 0, true});
+    const ClassRun reference = RunClass(hash, index, probe, {1, 0});
     ASSERT_TRUE(reference.outcome.ok()) << label;
     for (const DriverConfig& config : Matrix()) {
       const ClassRun run = RunClass(hash, index, probe, config);
@@ -207,7 +203,7 @@ TEST_F(PhysicalPlanDeterminismTest, SinglesMatchTheStarJoinOracles) {
       DiskModel disk;
       Executor exec(schema_, disk);
       ParallelPolicy policy;
-      policy.batch = BatchConfig{true, batch_rows};
+      policy.batch = BatchConfig{batch_rows};
       exec.set_parallel_policy(policy);
       PhysicalPlan phys;
       const Result<QueryResult> mine =
@@ -229,7 +225,7 @@ TEST_F(PhysicalPlanDeterminismTest, SinglesMatchTheStarJoinOracles) {
       DiskModel disk;
       Executor exec(schema_, disk);
       ParallelPolicy policy;
-      policy.batch = BatchConfig{true, batch_rows};
+      policy.batch = BatchConfig{batch_rows};
       exec.set_parallel_policy(policy);
       PhysicalPlan phys;
       const Result<QueryResult> mine =
@@ -272,7 +268,7 @@ TEST_F(PhysicalPlanDeterminismTest, UnsharedBaselineInvariantAcrossDrivers) {
   for (const DriverConfig& config : Matrix()) {
     std::unique_ptr<ThreadPool> pool;
     ParallelPolicy policy;
-    policy.batch = BatchConfig{config.vectorized, config.batch_rows};
+    policy.batch = BatchConfig{config.batch_rows};
     if (config.threads > 1) {
       pool = std::make_unique<ThreadPool>(config.threads);
       policy.pool = pool.get();
@@ -315,7 +311,7 @@ TEST_F(PhysicalPlanDeterminismTest, ViewBuildsInvariantAcrossDrivers) {
 
   for (const DriverConfig& config : Matrix()) {
     ViewBuilder builder(schema_);
-    builder.set_batch_config(BatchConfig{config.vectorized, config.batch_rows});
+    builder.set_batch_config(BatchConfig{config.batch_rows});
 
     DiskModel build_disk;
     const std::unique_ptr<Table> built =
@@ -369,7 +365,7 @@ TEST(PhysicalPlanEngineTest, ExecutedShapeEqualsLoweredShapeUnderAnyDriver) {
   for (const size_t threads : {1u, 4u}) {
     for (const size_t batch_rows : {size_t{1}, size_t{1024}}) {
       engine.set_parallelism(threads);
-      engine.set_batch_config(BatchConfig{true, batch_rows});
+      engine.set_batch_config(BatchConfig{batch_rows});
       for (auto& r : engine.Execute(plan)) {
         ASSERT_TRUE(r.ok()) << r.status.ToString();
         EXPECT_TRUE(BitIdentical(r.result, reference.at(r.query->id())))

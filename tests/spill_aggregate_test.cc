@@ -100,7 +100,7 @@ class SpillAggregateTest : public ::testing::Test {
     req.index_queries = index;
     req.view = view_.get();
     req.disk = &disk;
-    req.policy.batch = BatchConfig{true, batch_rows};
+    req.policy.batch = BatchConfig{batch_rows};
     if (pool != nullptr) {
       req.policy.pool = pool;
       req.policy.parallelism = threads;

@@ -1,16 +1,18 @@
-// Direct SpillFile coverage for the packed run layout (exec/spill.h):
-// packed and interleaved files must emit the exact same (key, values)
-// sequence from Merge, packed runs must be smaller on disk whenever the
-// key domain is narrow, the streaming word-window merge must survive
-// chunk boundaries that split words, and the per-section CRCs must catch
-// in-flight bit flips on the packed path too.
+// Direct SpillFile coverage for the packed run layout (exec/spill.h): Merge
+// must emit every record in (key, run index, in-run position) order — the
+// order the bit-identity contract relies on — at any read budget, runs must
+// bit-pack their keys to the run's key-domain width, the streaming
+// word-window merge must survive chunk boundaries that split words, and the
+// per-section CRCs must catch in-flight bit flips.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -36,27 +38,55 @@ class SpillPackedTest : public ::testing::Test {
     std::filesystem::remove_all(dir_);
   }
 
-  SpillConfig Config(bool packed) const {
+  SpillConfig Config() const {
     SpillConfig config;
     config.scratch_dir = dir_.string();
-    config.packed_keys = packed;
     return config;
   }
+
+  // The records of AppendRuns' run `run`, position `i`.
+  static uint64_t RunKey(uint64_t run, uint64_t i) { return run * 3 + i * 5; }
+  static double RunValue(uint64_t run, uint64_t i, size_t d) {
+    return static_cast<double>(run * 10'000 + i) + d * 0.5;
+  }
+  static constexpr uint64_t kRuns = 3;
+  static constexpr uint64_t kRunRows = 257;  // never a whole word count
 
   // Three sorted runs with interleaved, duplicated key ranges so the merge
   // heap has to alternate runs and respect arrival order on equal keys.
   static void AppendRuns(SpillFile& file, size_t doubles) {
-    for (uint64_t run = 0; run < 3; ++run) {
+    for (uint64_t run = 0; run < kRuns; ++run) {
       std::vector<uint64_t> keys;
       std::vector<double> values;
-      for (uint64_t i = 0; i < 257; ++i) {  // 257: never a whole word count
-        keys.push_back(run * 3 + i * 5);    // sorted, overlapping across runs
+      for (uint64_t i = 0; i < kRunRows; ++i) {
+        keys.push_back(RunKey(run, i));  // sorted, overlapping across runs
         for (size_t d = 0; d < doubles; ++d) {
-          values.push_back(static_cast<double>(run * 10'000 + i) + d * 0.5);
+          values.push_back(RunValue(run, i, d));
         }
       }
       ASSERT_TRUE(file.AppendRun(keys.data(), values.data(), keys.size()).ok());
     }
+  }
+
+  // What Merge must emit for AppendRuns: every record, sorted by
+  // (key, run index, in-run position) — per key, arrival order.
+  static Emitted ExpectedMerge(size_t doubles) {
+    std::vector<std::tuple<uint64_t, uint64_t, uint64_t>> order;
+    for (uint64_t run = 0; run < kRuns; ++run) {
+      for (uint64_t i = 0; i < kRunRows; ++i) {
+        order.emplace_back(RunKey(run, i), run, i);
+      }
+    }
+    std::sort(order.begin(), order.end());
+    Emitted expected;
+    for (const auto& [key, run, i] : order) {
+      std::vector<double> values;
+      for (size_t d = 0; d < doubles; ++d) {
+        values.push_back(RunValue(run, i, d));
+      }
+      expected.emplace_back(key, std::move(values));
+    }
+    return expected;
   }
 
   static Emitted MergeAll(SpillFile& file, uint64_t budget) {
@@ -71,30 +101,29 @@ class SpillPackedTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-TEST_F(SpillPackedTest, PackedMergesIdenticallyToInterleaved) {
+TEST_F(SpillPackedTest, MergeEmitsKeyRunPositionOrder) {
+  const Emitted expected = ExpectedMerge(2);
+  ASSERT_EQ(expected.size(), kRuns * kRunRows);
   for (const uint64_t budget : {uint64_t{1}, uint64_t{512}, uint64_t{1} << 20}) {
-    SpillFile interleaved(Config(false), 1, 2);
-    SpillFile packed(Config(true), 1, 2);
-    ASSERT_FALSE(interleaved.packed_keys());
-    ASSERT_TRUE(packed.packed_keys());
-    AppendRuns(interleaved, 2);
-    AppendRuns(packed, 2);
-    EXPECT_EQ(interleaved.spilled_rows(), packed.spilled_rows());
-    // 3*257 keys spanning ~1285 values pack at 11 bits vs 64 raw: the
-    // packed file must be smaller.
-    EXPECT_LT(packed.spilled_bytes(), interleaved.spilled_bytes());
+    SpillFile file(Config(), 1, 2);
+    AppendRuns(file, 2);
+    EXPECT_EQ(file.spilled_rows(), kRuns * kRunRows);
+    // Each run's 257 keys span 256 * 5 = 1280, so they pack at 11 bits. A
+    // run is then the 20-byte header, 45 key words, the key CRC, 257 x 2
+    // doubles and the value CRC.
+    EXPECT_EQ(file.spilled_bytes(),
+              kRuns * (8 + 4 + 8 + 45 * 8 + 4 + kRunRows * 16 + 4));
 
-    const Emitted a = MergeAll(interleaved, budget);
-    const Emitted b = MergeAll(packed, budget);
-    ASSERT_EQ(a.size(), 3u * 257u) << "budget " << budget;
-    EXPECT_EQ(a, b) << "packed merge diverged at budget " << budget;
+    const Emitted got = MergeAll(file, budget);
+    ASSERT_EQ(got.size(), expected.size()) << "budget " << budget;
+    EXPECT_EQ(got, expected) << "merge order diverged at budget " << budget;
   }
 }
 
 TEST_F(SpillPackedTest, WideKeysNeedSixtyFourBits) {
   // A run whose keys span nearly the whole u64 domain: bits = 64, the
   // widest the packed layout supports (mask must not shift out).
-  SpillFile file(Config(true), 2, 1);
+  SpillFile file(Config(), 2, 1);
   const std::vector<uint64_t> keys = {0, 1, uint64_t{1} << 40,
                                       (uint64_t{1} << 63) + 9};
   const std::vector<double> values = {1.0, 2.0, 3.0, 4.0};
@@ -108,7 +137,7 @@ TEST_F(SpillPackedTest, WideKeysNeedSixtyFourBits) {
 }
 
 TEST_F(SpillPackedTest, PackedReadBitFlipFailsWithResourceExhausted) {
-  SpillFile file(Config(true), 7, 1);
+  SpillFile file(Config(), 7, 1);
   std::vector<uint64_t> keys;
   std::vector<double> values;
   for (uint64_t i = 0; i < 2'000; ++i) {

@@ -1,22 +1,24 @@
 // The vectorized engine's core promise (DESIGN.md "Vectorized execution
-// model"): batch-at-a-time execution is BIT-identical to the tuple-at-a-time
-// reference — same result doubles, same charged IoStats — for every shared
-// operator, the view builder, any batch size, and any thread count. Nothing
-// here uses tolerances: batches are contiguous ascending row ranges and every
-// kernel preserves ascending row order per query, so the aggregation fold is
-// the same floating-point sequence.
+// model"): batch-at-a-time execution is BIT-identical to the single-query
+// star joins of exec/star_join.h — same result doubles — for every shared
+// operator, the view builder, any batch size and any thread count, and it
+// charges exactly the IoStats of the batch_rows = 1 run. Nothing here uses
+// tolerances: batches are contiguous ascending row ranges and every kernel
+// preserves ascending row order per query, so the aggregation fold is the
+// same floating-point sequence as the single-query operators' row loop.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/paper_workload.h"
 #include "cube/view_builder.h"
 #include "exec/shared_operators.h"
-#include "exec/shared_operators.h"
+#include "exec/star_join.h"
 #include "parallel/thread_pool.h"
 #include "schema/data_generator.h"
 #include "tests/test_util.h"
@@ -24,30 +26,39 @@
 namespace starshare {
 namespace {
 
+using testing::BitIdentical;
 using testing::MakeQuery;
 using testing::SmallSchema;
 
-bool BitIdentical(const QueryResult& a, const QueryResult& b) {
-  if (a.num_rows() != b.num_rows()) return false;
-  for (size_t i = 0; i < a.num_rows(); ++i) {
-    if (a.rows()[i].keys != b.rows()[i].keys) return false;
-    if (std::memcmp(&a.rows()[i].value, &b.rows()[i].value,
-                    sizeof(double)) != 0) {
-      return false;
-    }
+// The single-query oracle of a shared class: the Fig. 1 hash star join for
+// each hash member, the Fig. 3 index star join for each index member, in
+// the shared operators' result order (hash members first). Both fold the
+// view's matching rows in ascending row order.
+std::vector<QueryResult> SingleQueryOracle(
+    const StarSchema& schema,
+    const std::vector<const DimensionalQuery*>& hash,
+    const std::vector<const DimensionalQuery*>& index,
+    const MaterializedView& view) {
+  DiskModel scratch;
+  std::vector<QueryResult> results;
+  for (const DimensionalQuery* q : hash) {
+    results.push_back(HashStarJoin(schema, *q, view, scratch));
   }
-  return true;
+  for (const DimensionalQuery* q : index) {
+    results.push_back(IndexStarJoin(schema, *q, view, scratch));
+  }
+  return results;
 }
 
-void ExpectOutcomesBitIdentical(const SharedOutcome& oracle,
-                                const SharedOutcome& vectorized,
-                                const char* label) {
-  ASSERT_EQ(oracle.results.size(), vectorized.results.size()) << label;
-  for (size_t i = 0; i < oracle.results.size(); ++i) {
-    EXPECT_EQ(oracle.statuses[i].code(), vectorized.statuses[i].code())
-        << label << " member " << i;
-    EXPECT_TRUE(BitIdentical(oracle.results[i], vectorized.results[i]))
-        << label << " member " << i << " diverged from tuple-at-a-time";
+void ExpectOutcomeMatchesOracle(const std::vector<QueryResult>& oracle,
+                                const SharedOutcome& outcome,
+                                const std::string& label) {
+  ASSERT_EQ(oracle.size(), outcome.results.size()) << label;
+  for (size_t i = 0; i < oracle.size(); ++i) {
+    EXPECT_TRUE(outcome.statuses[i].ok()) << label << " member " << i;
+    EXPECT_TRUE(BitIdentical(oracle[i], outcome.results[i]))
+        << label << " member " << i
+        << " diverged from the single-query oracle";
   }
 }
 
@@ -68,6 +79,19 @@ void ExpectTablesBitIdentical(const Table& a, const Table& b,
   }
 }
 
+// A built view's cells as a canonical SUM result over `target`, so tables
+// compare against the single-query oracle.
+QueryResult TableAsResult(const Table& table, const GroupBySpec& target) {
+  QueryResult result(target, AggOp::kSum);
+  std::vector<int32_t> keys(table.num_key_columns());
+  for (uint64_t r = 0; r < table.num_rows(); ++r) {
+    for (size_t c = 0; c < keys.size(); ++c) keys[c] = table.key(c, r);
+    result.AddRow(keys, table.measure(r, 0));
+  }
+  result.Canonicalize();
+  return result;
+}
+
 // Mixed targets, predicate levels, and every aggregate kind, so key
 // translation, selection vectors and every AddBatch specialization are all
 // exercised (same mix as the parallel determinism suite).
@@ -85,7 +109,8 @@ std::vector<DimensionalQuery> MixedQueries(const StarSchema& schema) {
 }
 
 // Batch sizes that stress the regrouping edges: degenerate single-row
-// batches, a size that never divides a page, and the default.
+// batches (the I/O reference, hence first), a size that never divides a
+// page, and the default.
 const size_t kBatchSizes[] = {1, 7, kDefaultBatchRows};
 
 class VectorizedDeterminismTest : public ::testing::Test {
@@ -113,43 +138,41 @@ class VectorizedDeterminismTest : public ::testing::Test {
 };
 
 TEST_F(VectorizedDeterminismTest, SharedScanBitIdenticalAtEveryBatchSize) {
-  DiskModel oracle_disk;
-  auto oracle = TrySharedHybridStarJoin(schema_, query_ptrs_, {}, *view_,
-                                        oracle_disk,
-                                        BatchConfig::TupleAtATime());
-  ASSERT_TRUE(oracle.ok());
-
+  const std::vector<QueryResult> oracle =
+      SingleQueryOracle(schema_, query_ptrs_, {}, *view_);
+  IoStats reference;
   for (const size_t batch_rows : kBatchSizes) {
     DiskModel disk;
-    auto vectorized = TrySharedHybridStarJoin(
-        schema_, query_ptrs_, {}, *view_, disk,
-        BatchConfig{true, batch_rows});
-    ASSERT_TRUE(vectorized.ok()) << "batch " << batch_rows;
-    ExpectOutcomesBitIdentical(*oracle, *vectorized, "scan");
-    EXPECT_EQ(disk.stats(), oracle_disk.stats())
+    auto outcome = TrySharedHybridStarJoin(schema_, query_ptrs_, {}, *view_,
+                                           disk, BatchConfig{batch_rows});
+    ASSERT_TRUE(outcome.ok()) << "batch " << batch_rows;
+    ExpectOutcomeMatchesOracle(oracle, *outcome,
+                               "scan batch " + std::to_string(batch_rows));
+    if (batch_rows == 1) reference = disk.stats();
+    EXPECT_EQ(disk.stats(), reference)
         << "batch " << batch_rows
-        << " scan charged different I/O than tuple-at-a-time";
+        << " scan charged different I/O than batch_rows = 1";
   }
 }
 
 TEST_F(VectorizedDeterminismTest, SharedIndexBitIdenticalAtEveryBatchSize) {
   std::vector<const DimensionalQuery*> members = {
       query_ptrs_[0], query_ptrs_[2], query_ptrs_[4]};
+  const std::vector<QueryResult> oracle =
+      SingleQueryOracle(schema_, {}, members, *view_);
 
-  DiskModel oracle_disk;
-  auto oracle = TrySharedIndexStarJoin(schema_, members, *view_, oracle_disk,
-                                       BatchConfig::TupleAtATime());
-  ASSERT_TRUE(oracle.ok());
-
+  IoStats reference;
   for (const size_t batch_rows : kBatchSizes) {
     DiskModel disk;
-    auto vectorized = TrySharedIndexStarJoin(schema_, members, *view_, disk,
-                                             BatchConfig{true, batch_rows});
-    ASSERT_TRUE(vectorized.ok()) << "batch " << batch_rows;
-    ExpectOutcomesBitIdentical(*oracle, *vectorized, "index");
-    EXPECT_EQ(disk.stats(), oracle_disk.stats())
+    auto outcome = TrySharedIndexStarJoin(schema_, members, *view_, disk,
+                                          BatchConfig{batch_rows});
+    ASSERT_TRUE(outcome.ok()) << "batch " << batch_rows;
+    ExpectOutcomeMatchesOracle(oracle, *outcome,
+                               "index batch " + std::to_string(batch_rows));
+    if (batch_rows == 1) reference = disk.stats();
+    EXPECT_EQ(disk.stats(), reference)
         << "batch " << batch_rows
-        << " index join charged different I/O than tuple-at-a-time";
+        << " index join charged different I/O than batch_rows = 1";
   }
 }
 
@@ -158,40 +181,45 @@ TEST_F(VectorizedDeterminismTest, SharedHybridBitIdenticalAtEveryBatchSize) {
                                                query_ptrs_[5]};
   std::vector<const DimensionalQuery*> index = {query_ptrs_[0],
                                                 query_ptrs_[4]};
+  const std::vector<QueryResult> oracle =
+      SingleQueryOracle(schema_, hash, index, *view_);
 
-  DiskModel oracle_disk;
-  auto oracle = TrySharedHybridStarJoin(schema_, hash, index, *view_,
-                                        oracle_disk,
-                                        BatchConfig::TupleAtATime());
-  ASSERT_TRUE(oracle.ok());
-
+  IoStats reference;
   for (const size_t batch_rows : kBatchSizes) {
     DiskModel disk;
-    auto vectorized = TrySharedHybridStarJoin(
-        schema_, hash, index, *view_, disk, BatchConfig{true, batch_rows});
-    ASSERT_TRUE(vectorized.ok()) << "batch " << batch_rows;
-    ExpectOutcomesBitIdentical(*oracle, *vectorized, "hybrid");
-    EXPECT_EQ(disk.stats(), oracle_disk.stats())
+    auto outcome = TrySharedHybridStarJoin(schema_, hash, index, *view_,
+                                           disk, BatchConfig{batch_rows});
+    ASSERT_TRUE(outcome.ok()) << "batch " << batch_rows;
+    ExpectOutcomeMatchesOracle(oracle, *outcome,
+                               "hybrid batch " + std::to_string(batch_rows));
+    if (batch_rows == 1) reference = disk.stats();
+    EXPECT_EQ(disk.stats(), reference)
         << "batch " << batch_rows
-        << " hybrid charged different I/O than tuple-at-a-time";
+        << " hybrid charged different I/O than batch_rows = 1";
   }
 }
 
-TEST_F(VectorizedDeterminismTest,
-       ParallelVectorizedMatchesSerialTupleAtATime) {
-  // The acceptance chain in one test: serial tuple-at-a-time (the 1998
-  // reference) == parallel vectorized at 1 and 4 threads, results and
-  // IoStats both.
+TEST_F(VectorizedDeterminismTest, ParallelMatchesSingleQueryOracles) {
+  // The acceptance chain in one test: the single-query operators (the 1998
+  // reference) == parallel batches at 1 and 4 threads in results, and the
+  // serial batch_rows = 1 run == parallel in charged IoStats.
   std::vector<const DimensionalQuery*> hash = {query_ptrs_[1], query_ptrs_[3],
                                                query_ptrs_[5]};
   std::vector<const DimensionalQuery*> index = {query_ptrs_[0],
                                                 query_ptrs_[4]};
+  const std::vector<QueryResult> oracle =
+      SingleQueryOracle(schema_, hash, index, *view_);
+  const std::vector<QueryResult> index_oracle =
+      SingleQueryOracle(schema_, {}, index, *view_);
 
-  DiskModel oracle_disk;
-  auto oracle = TrySharedHybridStarJoin(schema_, hash, index, *view_,
-                                        oracle_disk,
-                                        BatchConfig::TupleAtATime());
-  ASSERT_TRUE(oracle.ok());
+  DiskModel reference_disk;
+  ASSERT_TRUE(TrySharedHybridStarJoin(schema_, hash, index, *view_,
+                                      reference_disk, BatchConfig{1})
+                  .ok());
+  DiskModel index_reference_disk;
+  ASSERT_TRUE(TrySharedIndexStarJoin(schema_, index, *view_,
+                                     index_reference_disk, BatchConfig{1})
+                  .ok());
 
   for (const size_t threads : {1u, 4u}) {
     ThreadPool pool(threads);
@@ -200,50 +228,59 @@ TEST_F(VectorizedDeterminismTest,
     auto parallel = ParallelSharedHybridStarJoin(schema_, hash, index, *view_,
                                                  disk, policy);
     ASSERT_TRUE(parallel.ok()) << threads << " threads";
-    ExpectOutcomesBitIdentical(*oracle, *parallel, "parallel hybrid");
-    EXPECT_EQ(disk.stats(), oracle_disk.stats())
-        << threads << "-thread vectorized hybrid charged different I/O "
-        << "than serial tuple-at-a-time";
+    ExpectOutcomeMatchesOracle(oracle, *parallel, "parallel hybrid");
+    EXPECT_EQ(disk.stats(), reference_disk.stats())
+        << threads << "-thread hybrid charged different I/O "
+        << "than serial batch_rows = 1";
 
     DiskModel index_disk;
-    DiskModel index_oracle_disk;
-    auto index_oracle =
-        TrySharedIndexStarJoin(schema_, index, *view_, index_oracle_disk,
-                               BatchConfig::TupleAtATime());
-    ASSERT_TRUE(index_oracle.ok());
     auto index_parallel = ParallelSharedIndexStarJoin(schema_, index, *view_,
                                                       index_disk, policy);
     ASSERT_TRUE(index_parallel.ok()) << threads << " threads";
-    ExpectOutcomesBitIdentical(*index_oracle, *index_parallel,
+    ExpectOutcomeMatchesOracle(index_oracle, *index_parallel,
                                "parallel index");
-    EXPECT_EQ(index_disk.stats(), index_oracle_disk.stats());
+    EXPECT_EQ(index_disk.stats(), index_reference_disk.stats());
   }
 }
 
-TEST_F(VectorizedDeterminismTest, ViewBuilderBitIdenticalToTupleAtATime) {
+TEST_F(VectorizedDeterminismTest, ViewBuilderBitIdenticalToOracle) {
+  const char* const kTargets[] = {"X'Y'Z", "X''Z'", "Y'"};
   std::vector<GroupBySpec> targets;
-  for (const char* text : {"X'Y'Z", "X''Z'", "Y'"}) {
+  std::vector<QueryResult> oracle;
+  for (const char* text : kTargets) {
     targets.push_back(GroupBySpec::Parse(text, schema_).value());
+    // A view cell is the SUM of its rows folded in ascending row order:
+    // exactly an unrestricted single-query SUM over the same source.
+    const DimensionalQuery q = MakeQuery(schema_, 100, text, {});
+    DiskModel scratch;
+    oracle.push_back(HashStarJoin(schema_, q, *view_, scratch));
   }
 
-  ViewBuilder oracle_builder(schema_);
-  oracle_builder.set_batch_config(BatchConfig::TupleAtATime());
-  DiskModel oracle_disk;
-  const auto oracle = oracle_builder.BuildMany(*view_, targets, oracle_disk);
+  ViewBuilder reference_builder(schema_);
+  reference_builder.set_batch_config(BatchConfig{1});
+  DiskModel reference_disk;
+  const auto reference =
+      reference_builder.BuildMany(*view_, targets, reference_disk);
+  ASSERT_EQ(reference.size(), targets.size());
+  for (size_t i = 0; i < targets.size(); ++i) {
+    EXPECT_TRUE(BitIdentical(TableAsResult(*reference[i], targets[i]),
+                             oracle[i]))
+        << kTargets[i] << " diverged from the single-query oracle";
+  }
 
   for (const size_t batch_rows : kBatchSizes) {
     ViewBuilder builder(schema_);
-    builder.set_batch_config(BatchConfig{true, batch_rows});
+    builder.set_batch_config(BatchConfig{batch_rows});
     DiskModel disk;
     const auto built = builder.BuildMany(*view_, targets, disk);
-    ASSERT_EQ(built.size(), oracle.size());
-    for (size_t i = 0; i < oracle.size(); ++i) {
-      ExpectTablesBitIdentical(*built[i], *oracle[i], "BuildMany");
+    ASSERT_EQ(built.size(), reference.size());
+    for (size_t i = 0; i < reference.size(); ++i) {
+      ExpectTablesBitIdentical(*built[i], *reference[i], "BuildMany");
     }
-    EXPECT_EQ(disk.stats(), oracle_disk.stats()) << "batch " << batch_rows;
+    EXPECT_EQ(disk.stats(), reference_disk.stats()) << "batch " << batch_rows;
   }
 
-  // BuildManyParallel with vectorized workers, 1 and 4 threads.
+  // BuildManyParallel at the default batch size, 1 and 4 threads.
   ViewBuilder builder(schema_);
   for (const size_t threads : {1u, 4u}) {
     ThreadPool pool(threads);
@@ -251,39 +288,67 @@ TEST_F(VectorizedDeterminismTest, ViewBuilderBitIdenticalToTupleAtATime) {
     DiskModel disk;
     const auto built =
         builder.BuildManyParallel(*view_, targets, disk, policy);
-    ASSERT_EQ(built.size(), oracle.size());
-    for (size_t i = 0; i < oracle.size(); ++i) {
-      ExpectTablesBitIdentical(*built[i], *oracle[i], "BuildManyParallel");
+    ASSERT_EQ(built.size(), reference.size());
+    for (size_t i = 0; i < reference.size(); ++i) {
+      ExpectTablesBitIdentical(*built[i], *reference[i], "BuildManyParallel");
     }
-    EXPECT_EQ(disk.stats(), oracle_disk.stats()) << threads << " threads";
+    EXPECT_EQ(disk.stats(), reference_disk.stats()) << threads << " threads";
   }
 }
 
-TEST_F(VectorizedDeterminismTest, RefreshBitIdenticalToTupleAtATime) {
-  const GroupBySpec target = GroupBySpec::Parse("X'Y'Z", schema_).value();
+TEST_F(VectorizedDeterminismTest, RefreshBitIdenticalToOracle) {
+  const char* const kTarget = "X'Y'Z";
+  const GroupBySpec target = GroupBySpec::Parse(kTarget, schema_).value();
 
-  ViewBuilder oracle_builder(schema_);
-  oracle_builder.set_batch_config(BatchConfig::TupleAtATime());
-  DiskModel oracle_disk;
-  auto oracle_table = oracle_builder.Build(*view_, target, oracle_disk);
-  MaterializedView oracle_view(schema_, target, oracle_table.get());
-  auto oracle_refreshed =
-      oracle_builder.Refresh(oracle_view, *view_, oracle_disk);
+  // Refresh folds each existing cell's value into a fresh zero, then the
+  // delta's rows in ascending row order. Replay that fold directly over the
+  // single-query oracle's cells and the delta (here the base view itself).
+  DiskModel scratch;
+  const QueryResult built_oracle = HashStarJoin(
+      schema_, MakeQuery(schema_, 100, kTarget, {}), *view_, scratch);
+  std::map<std::vector<int32_t>, double> cells;
+  for (const auto& row : built_oracle.rows()) cells[row.keys] += row.value;
+  const auto retained = target.RetainedDims(schema_);
+  std::vector<int32_t> group(retained.size());
+  for (uint64_t r = 0; r < table_->num_rows(); ++r) {
+    for (size_t i = 0; i < retained.size(); ++i) {
+      const size_t d = retained[i];
+      group[i] = schema_.dim(d).MapUp(0, target.level(d), table_->key(d, r));
+    }
+    cells[group] += table_->measure(r, 0);
+  }
+  QueryResult refresh_oracle(target, AggOp::kSum);
+  for (const auto& [keys, value] : cells) refresh_oracle.AddRow(keys, value);
+  refresh_oracle.Canonicalize();
 
-  ViewBuilder builder(schema_);  // vectorized default
+  ViewBuilder reference_builder(schema_);
+  reference_builder.set_batch_config(BatchConfig{1});
+  DiskModel reference_disk;
+  auto reference_table = reference_builder.Build(*view_, target,
+                                                 reference_disk);
+  MaterializedView reference_view(schema_, target, reference_table.get());
+  auto reference_refreshed =
+      reference_builder.Refresh(reference_view, *view_, reference_disk);
+
+  ViewBuilder builder(schema_);  // default batch size
   DiskModel disk;
   auto table = builder.Build(*view_, target, disk);
-  ExpectTablesBitIdentical(*table, *oracle_table, "Build");
+  EXPECT_TRUE(BitIdentical(TableAsResult(*table, target), built_oracle))
+      << "Build diverged from the single-query oracle";
+  ExpectTablesBitIdentical(*table, *reference_table, "Build");
   MaterializedView built_view(schema_, target, table.get());
   auto refreshed = builder.Refresh(built_view, *view_, disk);
-  ExpectTablesBitIdentical(*refreshed, *oracle_refreshed, "Refresh");
-  EXPECT_EQ(disk.stats(), oracle_disk.stats());
+  EXPECT_TRUE(BitIdentical(TableAsResult(*refreshed, target), refresh_oracle))
+      << "Refresh diverged from the replayed fold";
+  ExpectTablesBitIdentical(*refreshed, *reference_refreshed, "Refresh");
+  EXPECT_EQ(disk.stats(), reference_disk.stats());
 }
 
-TEST(VectorizedEngineTest, VectorizedKnobReproducesTupleAtATimeWorkload) {
-  // End-to-end over the paper workload: the engine's vectorized default
-  // must reproduce the tuple-at-a-time engine bit-for-bit, including every
-  // charged page count, at 1 and 4 threads.
+TEST(VectorizedEngineTest, BatchedEngineReproducesSingleQueryWorkload) {
+  // End-to-end over the paper workload: the engine's default batches must
+  // reproduce every query's single-query star join over its planned view
+  // bit-for-bit, and charge exactly the pages of the batch_rows = 1 engine,
+  // at 1 and 4 threads.
   Engine engine(StarSchema::PaperTestSchema());
   PaperWorkload::Setup(engine, /*rows=*/30'000, /*seed=*/7);
   std::vector<DimensionalQuery> queries =
@@ -291,25 +356,40 @@ TEST(VectorizedEngineTest, VectorizedKnobReproducesTupleAtATimeWorkload) {
   const GlobalPlan plan =
       engine.Optimize(queries, OptimizerKind::kGlobalGreedy);
 
-  engine.set_vectorized(false);
-  engine.ConsumeIoStats();
   std::map<int, QueryResult> oracle;
+  {
+    DiskModel scratch;
+    for (const ClassPlan& cls : plan.classes) {
+      for (const LocalPlan& member : cls.members) {
+        oracle.emplace(member.query->id(),
+                       member.method == JoinMethod::kIndexProbe
+                           ? IndexStarJoin(engine.schema(), *member.query,
+                                           *cls.base, scratch)
+                           : HashStarJoin(engine.schema(), *member.query,
+                                          *cls.base, scratch));
+      }
+    }
+  }
+
+  engine.set_batch_rows(1);
+  engine.ConsumeIoStats();
   for (auto& r : engine.Execute(plan)) {
     ASSERT_TRUE(r.ok()) << r.status.ToString();
-    oracle.emplace(r.query->id(), std::move(r.result));
+    EXPECT_TRUE(BitIdentical(r.result, oracle.at(r.query->id())))
+        << "Q" << r.query->id() << " at batch_rows = 1";
   }
-  const IoStats oracle_stats = engine.ConsumeIoStats();
+  const IoStats reference_stats = engine.ConsumeIoStats();
 
-  engine.set_vectorized(true);
+  engine.set_batch_config(BatchConfig());
   for (const size_t threads : {1u, 4u}) {
     engine.set_parallelism(threads);
     for (auto& r : engine.Execute(plan)) {
       ASSERT_TRUE(r.ok()) << r.status.ToString();
       EXPECT_TRUE(BitIdentical(r.result, oracle.at(r.query->id())))
-          << "Q" << r.query->id() << " vectorized at parallelism " << threads;
+          << "Q" << r.query->id() << " batched at parallelism " << threads;
     }
-    EXPECT_EQ(engine.ConsumeIoStats(), oracle_stats)
-        << "vectorized execution at parallelism " << threads
+    EXPECT_EQ(engine.ConsumeIoStats(), reference_stats)
+        << "batched execution at parallelism " << threads
         << " charged different I/O — the 1998 modeled time would change";
   }
 }
